@@ -1,10 +1,21 @@
 """Tests for projection, outlier detection, ambiguity, and the pipeline."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regen_parity_baselines import (
+    BASELINE_DIR,
+    LOCALIZATION_CASES,
+    LOCALIZATION_FIGURES,
+    LOCALIZATION_GOLDEN,
+    localization_case_payload,
+)
 from repro.errors import LocalizationError
+from repro.experiments import engine
 from repro.geometry.topology import pairwise_distance_matrix
 from repro.geometry.transforms import angle_of
 from repro.localization.ambiguity import (
@@ -256,3 +267,52 @@ class TestPipeline:
         truth = pts - pts[0]
         errors = np.linalg.norm(result.positions2d - truth[:, :2], axis=1)
         assert errors.max() < 0.1
+
+
+@pytest.fixture(scope="module")
+def localization_golden():
+    """The committed localization golden oracle, or ``None`` when pins are off.
+
+    Same pin policy as the parity-epoch artifact: the digests pin the
+    BLAS/LAPACK bits of the pinned build platform, so
+    ``REPRO_PARITY_PIN_SKIP=1`` or a numpy/scipy version differing from
+    the artifact's provenance turns the pins off.
+    """
+    if os.environ.get("REPRO_PARITY_PIN_SKIP") == "1":
+        return None
+    path = BASELINE_DIR / LOCALIZATION_GOLDEN
+    assert path.exists(), (
+        f"missing localization golden {path} — run "
+        "PYTHONPATH=src python tests/regen_parity_baselines.py"
+    )
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    import scipy
+
+    provenance = doc.get("provenance", {})
+    for lib, version in (("numpy", np.__version__), ("scipy", scipy.__version__)):
+        if provenance.get(lib) not in (None, version):
+            return None
+    return doc
+
+
+class TestLocalizationGolden:
+    """Every localization output is pinned bit for bit.
+
+    Speed-ups of SMACOF, Algorithm 1 or the rigidity test must not
+    change a byte of positions, stresses, iteration counts, dropped
+    links, weights or the generator state left behind.
+    """
+
+    @pytest.mark.parametrize("index", range(len(LOCALIZATION_CASES)))
+    def test_case_pinned(self, index, localization_golden):
+        if localization_golden is None:
+            pytest.skip("localization golden pins disabled on this platform")
+        assert localization_case_payload(index) == localization_golden["cases"][index]
+
+    @pytest.mark.parametrize("name, variant, scale", LOCALIZATION_FIGURES)
+    def test_figure_pinned(self, name, variant, scale, localization_golden):
+        if localization_golden is None:
+            pytest.skip("localization golden pins disabled on this platform")
+        result = engine.run_unit(name, variant, scale=scale)
+        pinned = localization_golden["figures"][f"{name}/{variant}@{scale}"]
+        assert engine.jsonify(result.measured) == pinned
