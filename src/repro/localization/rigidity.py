@@ -19,6 +19,7 @@ be evaluated meaningfully.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Set, Tuple
 
 import networkx as nx
@@ -157,8 +158,21 @@ def is_uniquely_realizable(num_nodes: int, edges: Iterable[Edge]) -> bool:
 
     ``n <= 3``: complete graphs only. ``n >= 4``: redundantly rigid and
     3-connected.
+
+    The answer depends only on the graph, so it is memoized on ``(n,
+    sorted normalised edges)``: Algorithm 1 asks about the same
+    drop-subset graphs again and again across trials.  Edges are
+    validated on every call, before the memo is consulted.
     """
     edge_list = _normalise_edges(edges)
+    for u, v in edge_list:
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u}, {v}) references unknown node")
+    return _uniquely_realizable(num_nodes, tuple(sorted(edge_list)))
+
+
+@lru_cache(maxsize=1024)
+def _uniquely_realizable(num_nodes: int, edge_list: Tuple[Edge, ...]) -> bool:
     if num_nodes <= 1:
         return True
     if num_nodes == 2:

@@ -13,11 +13,18 @@ stress. Missing links are handled by zero weights (paper section 2.1.2).
 The *normalised stress* reported here is ``sqrt(S / n_links)``, which
 has units of metres (RMS per-link distance residual) and is the
 statistic Algorithm 1 thresholds at 1.5 m.
+
+Every solve runs through one kernel, :func:`_guttman`, on a
+``(k, n, dim)`` stack of configurations: :func:`smacof` is its
+``k = 1`` call, and :func:`smacof_stack` solves Algorithm 1's candidate
+weight matrices together.  Slices never mix, so each result has the
+bits of a solve on its own (DESIGN.md section 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -51,29 +58,49 @@ class SmacofResult:
 
 
 def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
+    """Check one ``(n, n)`` weight matrix or a ``(k, n, n)`` stack of them."""
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError("distances must be a square matrix")
-    if weights.shape != distances.shape:
+    if weights.shape[-2:] != distances.shape:
         raise ValueError("weights must match distances in shape")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if not np.allclose(weights, weights.T):
+    if not np.allclose(weights, np.swapaxes(weights, -1, -2)):
         raise ValueError("weights must be symmetric")
     active = weights > 0
-    if np.any(~np.isfinite(distances[active])):
+    linked = np.broadcast_to(distances, weights.shape)[active]
+    if np.any(~np.isfinite(linked)):
         raise ValueError("active links must have finite distances")
-    if np.any(distances[active] < 0):
+    if np.any(linked < 0):
         raise ValueError("distances must be non-negative")
+
+
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    """Distances between the rows of each ``(n, dim)`` slice of ``x``.
+
+    Bitwise equal to ``np.linalg.norm(diff, axis=-1)``, which numpy
+    computes as exactly this square root of a last-axis sum.
+    """
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def _stress(dist, distances, upper, upper_weights) -> np.ndarray:
+    """Raw stress of each slice, given its pairwise distances.
+
+    Each slice's residuals are summed as one flattened ``n * n`` row, the
+    same reduction ``np.sum`` runs over a 2-D array, so a slice of a
+    stack has the bits of the single-matrix sum.
+    """
+    resid = np.where(upper, distances - dist, 0.0)
+    terms = upper_weights * resid**2
+    return np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
 
 
 def stress_value(positions: np.ndarray, distances: np.ndarray, weights: np.ndarray) -> float:
     """Weighted raw stress of an embedding."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    mask = np.triu(weights, k=1) > 0
-    resid = np.where(mask, distances - d, 0.0)
-    w = np.where(mask, weights, 0.0)
-    return float(np.sum(w * resid**2))
+    upper = np.triu(weights, k=1) > 0
+    return float(_stress(_pairwise(positions), distances, upper, np.where(upper, weights, 0.0)))
 
 
 def normalized_stress(stress: float, weights: np.ndarray) -> float:
@@ -86,23 +113,24 @@ def normalized_stress(stress: float, weights: np.ndarray) -> float:
 
 def _graph_complete_distances(distances: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Fill missing entries with shortest-path distances for MDS init."""
-    import networkx as nx
-
     n = distances.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weights[i, j] > 0:
-                graph.add_edge(i, j, weight=float(distances[i, j]))
-    if not nx.is_connected(graph):
-        raise LocalizationError("measurement graph is disconnected")
     completed = np.array(distances, dtype=float, copy=True)
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
-    for i in range(n):
-        for j in range(n):
-            if i != j and weights[i, j] == 0:
-                completed[i, j] = lengths[i][j]
+    missing = weights == 0
+    np.fill_diagonal(missing, False)
+    if missing.any():
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if weights[i, j] > 0:
+                    graph.add_edge(i, j, weight=float(distances[i, j]))
+        if not nx.is_connected(graph):
+            raise LocalizationError("measurement graph is disconnected")
+        lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
+        for i, j in zip(*np.nonzero(missing)):
+            completed[i, j] = lengths[i][j]
     np.fill_diagonal(completed, 0.0)
     return completed
 
@@ -125,6 +153,94 @@ def classical_mds(distances: np.ndarray, dim: int = 2) -> np.ndarray:
     order = np.argsort(eigvals)[::-1][:dim]
     vals = np.clip(eigvals[order], 0.0, None)
     return eigvecs[:, order] * np.sqrt(vals)
+
+
+def _initial_positions(distances, weights, dim, rng) -> np.ndarray:
+    """Jittered classical-MDS starts for a ``(k, n, n)`` weight stack.
+
+    The jitter is one ``(k, n, dim)`` normal block: the same numbers,
+    and the same final generator state, as ``k`` draws of ``(n, dim)``
+    in stack order.
+    """
+    x = np.stack([classical_mds(_graph_complete_distances(distances, w), dim=dim) for w in weights])
+    return x + rng.normal(0.0, 1e-6, size=x.shape)
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Writable ``(k, n)`` view of the diagonals of a contiguous ``(k, n, n)`` stack."""
+    n = stack.shape[-1]
+    return stack.reshape(stack.shape[0], n * n)[:, :: n + 1]
+
+
+def _guttman(x, distances, weights, max_iter, tol) -> List[SmacofResult]:
+    """Run the Guttman transform on a ``(k, n, dim)`` stack of starts.
+
+    Slice ``i`` solves ``weights[i]`` exactly as an unstacked solve
+    would: stacked matmul, ``pinv``, row sums and flattened per-slice
+    sums all reduce each slice on its own, in the same order as the
+    2-D calls.  A slice leaves the active set on the iteration it
+    converges; the rest iterate on.
+    """
+    k, n = x.shape[:2]
+    weights = np.ascontiguousarray(weights)
+    upper = np.triu(weights, k=1) > 0
+    upper_weights = np.where(upper, weights, 0.0)
+    d_clean = np.where(weights > 0, np.nan_to_num(distances, nan=0.0), 0.0)
+    # -w with a +0.0 diagonal.  The ratio's diagonal is +0.0 too (a
+    # point's distance to itself is 0), so B's off-diagonal product
+    # leaves the +0.0 diagonal that B's row sums expect.
+    neg_w = -weights
+    _diagonal(neg_w)[:] = 0.0
+
+    # V depends only on the weights.
+    v = neg_w.copy()
+    _diagonal(v)[:] = -v.sum(axis=-1)
+    v_pinv = np.linalg.pinv(v)
+
+    dist = _pairwise(x)
+    prev = _stress(dist, d_clean, upper, upper_weights)
+    positions = np.empty_like(x)
+    stress = prev.copy()
+    n_iter = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    rows = np.arange(k)
+    for iteration in range(1, max_iter + 1):
+        ratio = np.divide(d_clean, dist, out=np.zeros(dist.shape), where=dist > 1e-12)
+        b = neg_w * ratio
+        _diagonal(b)[:] = -b.sum(axis=-1)
+        x = v_pinv @ (b @ x)
+        dist = _pairwise(x)
+        current = _stress(dist, d_clean, upper, upper_weights)
+        done = (prev > 0) & ((prev - current) / np.maximum(prev, 1e-15) < tol)
+        prev = current
+        if done.any():
+            finished = rows[done]
+            positions[finished] = x[done]
+            stress[finished] = current[done]
+            n_iter[finished] = iteration
+            converged[finished] = True
+            keep = ~done
+            rows, x, dist, prev = rows[keep], x[keep], dist[keep], prev[keep]
+            d_clean, neg_w, v_pinv = d_clean[keep], neg_w[keep], v_pinv[keep]
+            upper, upper_weights = upper[keep], upper_weights[keep]
+            if rows.size == 0:
+                break
+    else:
+        # Slices still active ran out of iterations (or none were allowed).
+        positions[rows] = x
+        stress[rows] = prev
+        n_iter[rows] = max_iter
+
+    return [
+        SmacofResult(
+            positions=positions[i],
+            stress=float(stress[i]),
+            normalized_stress=normalized_stress(float(stress[i]), weights[i]),
+            n_iter=int(n_iter[i]),
+            converged=bool(converged[i]),
+        )
+        for i in range(k)
+    ]
 
 
 def smacof(
@@ -165,45 +281,38 @@ def smacof(
     rng = rng or np.random.default_rng(0)
 
     if init is None:
-        completed = _graph_complete_distances(d, w)
-        x = classical_mds(completed, dim=dim)
-        x = x + rng.normal(0.0, 1e-6, size=x.shape)
+        x = _initial_positions(d, w[None], dim, rng)
     else:
         x = np.array(init, dtype=float, copy=True)
         if x.shape != (n, dim):
             raise ValueError(f"init must be ({n}, {dim})")
+        x = x[None]
+    return _guttman(x, d, w[None], max_iter, tol)[0]
 
-    # Guttman transform machinery. V depends only on the weights.
-    v = -np.array(w, dtype=float, copy=True)
-    np.fill_diagonal(v, 0.0)
-    np.fill_diagonal(v, -v.sum(axis=1))
-    v_pinv = np.linalg.pinv(v)
 
-    d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
+def smacof_stack(
+    distances: np.ndarray,
+    weights: np.ndarray,
+    dim: int = 2,
+    max_iter: int = 300,
+    tol: float = 1e-7,
+    rng: np.random.Generator | None = None,
+) -> List[SmacofResult]:
+    """Solve one distance matrix under each of a stack of weight matrices.
 
-    prev_stress = stress_value(x, d_clean, w)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
-        b = -w * ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x = v_pinv @ (b @ x)
-        stress = stress_value(x, d_clean, w)
-        if prev_stress > 0 and (prev_stress - stress) / max(prev_stress, 1e-15) < tol:
-            prev_stress = stress
-            converged = True
-            break
-        prev_stress = stress
-
-    return SmacofResult(
-        positions=x,
-        stress=prev_stress,
-        normalized_stress=normalized_stress(prev_stress, w),
-        n_iter=iteration,
-        converged=converged,
-    )
+    ``weights`` is ``(k, n, n)``.  The results, and the state ``rng`` is
+    left in, are bitwise those of ``k`` sequential :func:`smacof` calls
+    in stack order sharing ``rng``; the Guttman iterations run as one
+    stacked transform.  An empty stack draws nothing.
+    """
+    d = np.asarray(distances, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 3:
+        raise ValueError("weights must be a (k, n, n) stack")
+    _validate_inputs(d, w)
+    if d.shape[0] < 3:
+        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    if w.shape[0] == 0:
+        return []
+    rng = rng or np.random.default_rng(0)
+    return _guttman(_initial_positions(d, w, dim, rng), d, w, max_iter, tol)

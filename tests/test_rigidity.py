@@ -132,6 +132,44 @@ class TestUniqueRealizability:
         assert got == expected
 
 
+class TestRealizabilityMemo:
+    """The memo keys on the graph, never on how its edges were listed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 5_000))
+    def test_invariant_under_order_orientation_and_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        edges = [e for e in complete_graph_edges(n) if rng.random() < 0.75]
+        expected = is_uniquely_realizable(n, edges)
+        shuffled = [edges[i] for i in rng.permutation(len(edges))]
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in shuffled]
+        repeats = rng.integers(0, len(flipped), 3) if flipped else []
+        duplicated = flipped + [flipped[i] for i in repeats]
+        assert is_uniquely_realizable(n, flipped) == expected
+        assert is_uniquely_realizable(n, duplicated) == expected
+        assert is_uniquely_realizable(n, iter(duplicated)) == expected
+
+    @pytest.mark.parametrize(
+        "num_nodes, edges",
+        [
+            (4, [(0, 1), (1, 1)]),
+            (5, complete_graph_edges(4) + [(2, 2)]),
+            (4, complete_graph_edges(4) + [(0, 4)]),
+            (3, [(0, 1), (1, 2), (0, 7)]),
+            (5, [(-1, 2)] + complete_graph_edges(5)),
+        ],
+    )
+    def test_invalid_edges_raise_on_every_call(self, num_nodes, edges):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                is_uniquely_realizable(num_nodes, edges)
+        # A valid graph between the calls leaves the rejection in place.
+        assert is_uniquely_realizable(4, complete_graph_edges(4))
+        with pytest.raises(ValueError):
+            is_uniquely_realizable(num_nodes, edges)
+
+
 class TestEdgesFromWeights:
     def test_extracts_upper_triangle(self):
         w = np.zeros((3, 3))

@@ -11,6 +11,7 @@ from repro.localization.smacof import (
     classical_mds,
     normalized_stress,
     smacof,
+    smacof_stack,
     stress_value,
 )
 
@@ -129,3 +130,69 @@ class TestSmacof:
         result = smacof(d, max_iter=300)
         assert result.converged
         assert result.n_iter <= 300
+
+
+class TestSmacofStack:
+    """One stacked solve is bitwise k sequential single solves."""
+
+    @staticmethod
+    def _variants(rng, n, k):
+        # Each variant drops up to n - 3 links (an ear of missing links
+        # can disconnect the graph; those draws are skipped by the
+        # caller) and reweights one link.
+        links = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        out = []
+        for _ in range(k):
+            w = full_weight_matrix(n)
+            for e in rng.choice(len(links), int(rng.integers(0, n - 2)), replace=False):
+                i, j = links[e]
+                w[i, j] = w[j, i] = 0.0
+            i, j = links[int(rng.integers(len(links)))]
+            if w[i, j] > 0:
+                w[i, j] = w[j, i] = rng.uniform(0.2, 3.0)
+            out.append(w)
+        return np.array(out)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 10),
+        k=st.integers(1, 12),
+        max_iter=st.sampled_from([0, 1, 7, 300]),
+    )
+    def test_stack_equals_sequential_solves(self, seed, n, k, max_iter):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-20, 20, (n, 2))
+        noise = np.triu(rng.normal(0.0, 0.3, (n, n)), k=1)
+        d = np.abs(pairwise_distance_matrix(pts) + noise + noise.T)
+        weights = self._variants(rng, n, k)
+        one, many = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        try:
+            sequential = [smacof(d, w, rng=one, max_iter=max_iter) for w in weights]
+        except LocalizationError:
+            return  # a variant's drops disconnected the graph
+        stacked = smacof_stack(d, weights, rng=many, max_iter=max_iter)
+        assert len(stacked) == k
+        for a, b in zip(sequential, stacked):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.stress == b.stress
+            assert a.normalized_stress == b.normalized_stress
+            assert a.n_iter == b.n_iter
+            assert a.converged == b.converged
+        assert one.bit_generator.state == many.bit_generator.state
+
+    def test_empty_stack_draws_nothing(self):
+        d = pairwise_distance_matrix(_square())
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert smacof_stack(d, np.zeros((0, 4, 4)), rng=rng) == []
+        assert rng.bit_generator.state == before
+
+    def test_stack_validates_every_slice(self):
+        d = pairwise_distance_matrix(_square())
+        weights = np.stack([full_weight_matrix(4), full_weight_matrix(4)])
+        weights[1, 0, 1] = 5.0  # asymmetric
+        with pytest.raises(ValueError):
+            smacof_stack(d, weights)
+        with pytest.raises(ValueError):
+            smacof_stack(d, full_weight_matrix(4))
