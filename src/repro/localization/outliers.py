@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -28,6 +28,46 @@ from repro.localization.rigidity import edges_from_weights, is_uniquely_realizab
 from repro.localization.smacof import smacof, smacof_stack
 
 Edge = Tuple[int, int]
+
+#: Element budget of one stacked ``(k, n, n)`` array in the candidate
+#: search.  A level's realizable subsets are solved in chunks of
+#: ``max(1, STACK_ELEMENTS // n**2)``, in candidate order, so the search
+#: holds O(STACK_ELEMENTS) floats per array whatever the level size.
+#: Results do not depend on it (DESIGN.md section 13).
+STACK_ELEMENTS = 1 << 16
+
+
+def _realizable_drops(
+    n: int,
+    links: List[Edge],
+    n_drop: int,
+    dropped: List[Edge],
+    weights: np.ndarray,
+) -> Iterator[Tuple[List[Tuple[Edge, ...]], np.ndarray]]:
+    """Chunks of the ``n_drop``-link subsets whose drop stays realizable.
+
+    Yields ``(subsets, trial weight stack)`` in candidate order, at most
+    ``max(1, STACK_ELEMENTS // n**2)`` subsets at a time.  The
+    realizability test draws no random numbers.
+    """
+    chunk = max(1, STACK_ELEMENTS // (n * n))
+    subsets: List[Tuple[Edge, ...]] = []
+    trial_ws: List[np.ndarray] = []
+    for subset in combinations(links, n_drop):
+        if any(e in dropped for e in subset):
+            continue
+        trial_w = np.array(weights, copy=True)
+        for i, j in subset:
+            trial_w[i, j] = 0.0
+            trial_w[j, i] = 0.0
+        if is_uniquely_realizable(n, edges_from_weights(trial_w)):
+            subsets.append(subset)
+            trial_ws.append(trial_w)
+            if len(subsets) == chunk:
+                yield subsets, np.stack(trial_ws)
+                subsets, trial_ws = [], []
+    if subsets:
+        yield subsets, np.stack(trial_ws)
 
 
 @dataclass(frozen=True)
@@ -108,38 +148,28 @@ def detect_outliers(
     dropped_total: List[Edge] = []
 
     for n_drop in range(1, max_outliers + 1):
-        # Only drops that keep the graph uniquely realizable are tried.
-        # The filter draws nothing, so the stacked solve below draws the
-        # init jitter in candidate order, as one solve per subset would.
-        subsets: List[Tuple[Edge, ...]] = []
-        trial_ws: List[np.ndarray] = []
-        for subset in combinations(links, n_drop):
-            if any(e in dropped_total for e in subset):
-                continue
-            trial_w = np.array(current_weights, copy=True)
-            for i, j in subset:
-                trial_w[i, j] = 0.0
-                trial_w[j, i] = 0.0
-            if is_uniquely_realizable(n, edges_from_weights(trial_w)):
-                subsets.append(subset)
-                trial_ws.append(trial_w)
-        trials = smacof_stack(d, np.reshape(trial_ws, (-1, n, n)), dim=dim, rng=rng)
-
         best_raw = current_raw
         best_stress = current_stress
         best_positions = current_positions
         best_weights = current_weights
         best_drop: Tuple[Edge, ...] = ()
-        for subset, trial_w, trial in zip(subsets, trial_ws, trials):
-            # The paper's acceptance test: dropping the subset must cut
-            # the (raw) stress-function output by at least 90%.
-            significant = current_raw - trial.stress > improvement_ratio * current_raw
-            if significant and trial.stress < best_raw:
-                best_raw = trial.stress
-                best_stress = trial.normalized_stress
-                best_positions = trial.positions
-                best_weights = trial_w
-                best_drop = subset
+        # Only drops that keep the graph uniquely realizable are tried.
+        # Each chunk's init jitter is drawn as one block in candidate
+        # order, as one solve per subset would draw it.
+        for subsets, trial_ws in _realizable_drops(
+            n, links, n_drop, dropped_total, current_weights
+        ):
+            trials = smacof_stack(d, trial_ws, dim=dim, rng=rng)
+            for subset, trial_w, trial in zip(subsets, trial_ws, trials):
+                # The paper's acceptance test: dropping the subset must
+                # cut the (raw) stress-function output by at least 90%.
+                significant = current_raw - trial.stress > improvement_ratio * current_raw
+                if significant and trial.stress < best_raw:
+                    best_raw = trial.stress
+                    best_stress = trial.normalized_stress
+                    best_positions = trial.positions
+                    best_weights = trial_w.copy()
+                    best_drop = subset
         if not best_drop:
             # No subset of this size achieved a significant reduction.
             break

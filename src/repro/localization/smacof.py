@@ -31,6 +31,10 @@ import numpy as np
 from repro.errors import LocalizationError
 from repro.geometry.topology import full_weight_matrix
 
+#: Default iteration cap and relative-stress-decrease tolerance.
+MAX_ITER = 300
+TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class SmacofResult:
@@ -73,6 +77,16 @@ def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("active links must have finite distances")
     if np.any(linked < 0):
         raise ValueError("distances must be non-negative")
+
+
+def _checked_inputs(distances, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of validated inputs with enough nodes to embed."""
+    d = np.asarray(distances, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    _validate_inputs(d, w)
+    if d.shape[0] < 3:
+        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    return d, w
 
 
 def _pairwise(x: np.ndarray) -> np.ndarray:
@@ -248,8 +262,8 @@ def smacof(
     weights: np.ndarray | None = None,
     dim: int = 2,
     init: np.ndarray | None = None,
-    max_iter: int = 300,
-    tol: float = 1e-7,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
     rng: np.random.Generator | None = None,
 ) -> SmacofResult:
     """Minimise weighted stress with the Guttman transform.
@@ -272,12 +286,8 @@ def smacof(
         Iteration controls; ``tol`` is the relative stress decrease that
         counts as convergence.
     """
-    d = np.asarray(distances, dtype=float)
-    w = full_weight_matrix(d.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    _validate_inputs(d, w)
-    n = d.shape[0]
-    if n < 3:
-        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    n = np.shape(distances)[0]
+    d, w = _checked_inputs(distances, full_weight_matrix(n) if weights is None else weights)
     rng = rng or np.random.default_rng(0)
 
     if init is None:
@@ -294,8 +304,6 @@ def smacof_stack(
     distances: np.ndarray,
     weights: np.ndarray,
     dim: int = 2,
-    max_iter: int = 300,
-    tol: float = 1e-7,
     rng: np.random.Generator | None = None,
 ) -> List[SmacofResult]:
     """Solve one distance matrix under each of a stack of weight matrices.
@@ -305,14 +313,10 @@ def smacof_stack(
     in stack order sharing ``rng``; the Guttman iterations run as one
     stacked transform.  An empty stack draws nothing.
     """
-    d = np.asarray(distances, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 3:
+    if np.ndim(weights) != 3:
         raise ValueError("weights must be a (k, n, n) stack")
-    _validate_inputs(d, w)
-    if d.shape[0] < 3:
-        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    d, w = _checked_inputs(distances, weights)
     if w.shape[0] == 0:
         return []
     rng = rng or np.random.default_rng(0)
-    return _guttman(_initial_positions(d, w, dim, rng), d, w, max_iter, tol)
+    return _guttman(_initial_positions(d, w, dim, rng), d, w, MAX_ITER, TOL)

@@ -25,6 +25,7 @@ from repro.localization.ambiguity import (
     resolve_flipping,
     resolve_rotation,
 )
+from repro.localization import outliers
 from repro.localization.outliers import detect_outliers
 from repro.localization.pipeline import localize
 from repro.localization.projection import project_distances
@@ -307,6 +308,18 @@ class TestLocalizationGolden:
     def test_case_pinned(self, index, localization_golden):
         if localization_golden is None:
             pytest.skip("localization golden pins disabled on this platform")
+        assert localization_case_payload(index) == localization_golden["cases"][index]
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    @pytest.mark.parametrize("index", range(len(LOCALIZATION_CASES)))
+    def test_case_pinned_across_chunk_boundaries(
+        self, index, budget, localization_golden, monkeypatch
+    ):
+        # A budget of 1 solves every candidate subset on its own; 100
+        # splits the 4-7 node searches into chunks of 2-6 subsets.
+        if localization_golden is None:
+            pytest.skip("localization golden pins disabled on this platform")
+        monkeypatch.setattr(outliers, "STACK_ELEMENTS", budget)
         assert localization_case_payload(index) == localization_golden["cases"][index]
 
     @pytest.mark.parametrize("name, variant, scale", LOCALIZATION_FIGURES)
