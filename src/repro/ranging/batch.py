@@ -8,9 +8,9 @@ streams:
 
 * normalised cross-correlation shares cached template/window spectra
   and stacks equal-FFT-length streams into single transforms;
-* candidate gating stacks *every* stream's shortlisted windows into one
-  exact-parity GEMM per flush (scalar-reduction fallback where BLAS
-  does not reproduce ``ddot`` bitwise);
+* the candidate gate is lazy: it scores only the shortlisted
+  candidates the selection rule depends on, one candidate of every
+  unresolved stream per round;
 * LS channel estimation FFTs all detected streams' OFDM symbols in one
   stacked transform and accumulates per-symbol terms in legacy order;
 * peak scans are vectorised comparisons instead of per-sample Python.
@@ -44,6 +44,49 @@ from repro.signals.xp import (
 )
 
 
+def _lazy_gate(ncc: np.ndarray, cfg: DetectionConfig, starts: List[int]):
+    """One stream's candidate gate, scoring only the candidates that decide it.
+
+    A generator: it yields the next candidate start to score, receives
+    that candidate's gate score through ``send``, and returns the
+    :class:`Detection` (or ``None``) that
+    :func:`repro.ranging.detector.detect_preamble` selects from the
+    scores of *every* candidate in ``starts`` (shortlist order, xcorr
+    descending):
+
+    1. Score in shortlist order up to the first accept.  Its xcorr is
+       the best accepted xcorr: no later candidate has a higher one.
+    2. Every other significant candidate is an unscored later one with
+       xcorr >= ``early_peak_ratio`` x best.  Best itself qualifies,
+       because :class:`DetectionConfig` keeps the ratio <= 1 and best
+       > 0.  Only candidates starting earlier can win, so score them in
+       ascending start order up to the first accept; that one is the
+       earliest significant candidate, else best is.
+    """
+    for n, start in enumerate(starts):
+        score = yield start
+        if score >= cfg.autocorr_threshold:
+            break
+    else:
+        return None
+    best = Detection(
+        start_index=start,
+        xcorr_score=float(ncc[start]),
+        autocorr_score=float(score),
+    )
+    floor = cfg.early_peak_ratio * best.xcorr_score
+    earlier = sorted(s for s in starts[n + 1 :] if s < start and float(ncc[s]) >= floor)
+    for early in earlier:
+        score = yield early
+        if score >= cfg.autocorr_threshold:
+            return Detection(
+                start_index=early,
+                xcorr_score=float(ncc[early]),
+                autocorr_score=float(score),
+            )
+    return best
+
+
 def detect_preamble_batch(
     streams: Sequence[np.ndarray],
     preamble: Preamble,
@@ -54,10 +97,12 @@ def detect_preamble_batch(
     """Batched :func:`repro.ranging.detector.detect_preamble`.
 
     One NCC pass over all long-enough streams (grouped by transform
-    length), one cross-stream candidate-gate GEMM over every stream's
-    shortlisted windows (:func:`segment_autocorrelation_scores_multi`),
-    then the scalar accept logic per stream on the bit-identical
-    correlation arrays and scores.
+    length), then the lazy candidate gate (:func:`_lazy_gate`): each
+    round scores the next candidate of every unresolved stream in one
+    :func:`segment_autocorrelation_scores_multi` call, until every
+    stream has its detection.  A score depends only on its own window,
+    so which candidates share a call changes no bits, and the result
+    equals the exhaustive scalar selection exactly.
 
     ``fast=True`` swaps in the non-parity kernels: fused-normalisation
     NCC over one shared transform length and the forced-GEMM candidate
@@ -79,52 +124,36 @@ def detect_preamble_batch(
     nccs = correlate([streams[i] for i in eligible], tmpl)
     stride = preamble.config.symbol_stride
     sym_len = preamble.config.ofdm.n_fft
-    num_symbols = preamble.config.num_symbols
     signs = preamble.config.pn_signs
-    window = stride * num_symbols
-    # Shortlist candidates per stream, then score every stream's
-    # windows in a single stacked GEMM instead of one call per stream.
-    pending: List[tuple] = []  # (result row, ncc, config, valid starts)
+    window = stride * preamble.config.num_symbols
+    gates = {}  # result row -> (gate generator, start it waits on)
+
+    def advance(i, gate, score=None):
+        try:
+            gates[i] = (gate, gate.send(score))
+        except StopIteration as done:
+            results[i] = done.value
+            gates.pop(i, None)
+
     for k, i in enumerate(eligible):
         cfg = configs[i] or DetectionConfig()
         stream, ncc = streams[i], nccs[k]
         candidates = local_peak_indices_fast(ncc, cfg.xcorr_threshold)
-        if candidates.size == 0:
-            continue
         order = np.argsort(ncc[candidates])[::-1][: cfg.max_candidates]
-        shortlisted = candidates[order]
-        valid = [int(s) for s in shortlisted if int(s) + window <= stream.size]
-        pending.append((i, ncc, cfg, valid))
-    if not pending:
-        return results
-    batch_scores = segment_autocorrelation_scores_multi(
-        [streams[i] for i, _, _, _ in pending],
-        [valid for _, _, _, valid in pending],
-        signs,
-        stride,
-        sym_len,
-        force_gemm=fast,
-    )
-    for (i, ncc, cfg, valid), scores in zip(pending, batch_scores):
-        accepted: List[Detection] = []
-        for start, score in zip(valid, scores):
-            if score >= cfg.autocorr_threshold:
-                accepted.append(
-                    Detection(
-                        start_index=start,
-                        xcorr_score=float(ncc[start]),
-                        autocorr_score=float(score),
-                    )
-                )
-        if not accepted:
-            continue
-        best_score = max(det.xcorr_score for det in accepted)
-        significant = [
-            det
-            for det in accepted
-            if det.xcorr_score >= cfg.early_peak_ratio * best_score
-        ]
-        results[i] = min(significant, key=lambda det: det.start_index)
+        valid = [int(s) for s in candidates[order] if int(s) + window <= stream.size]
+        advance(i, _lazy_gate(ncc, cfg, valid))
+    while gates:
+        rows = list(gates)
+        scores = segment_autocorrelation_scores_multi(
+            [streams[i] for i in rows],
+            [[gates[i][1]] for i in rows],
+            signs,
+            stride,
+            sym_len,
+            force_gemm=fast,
+        )
+        for i, (score,) in zip(rows, scores):
+            advance(i, gates[i][0], score)
     return results
 
 

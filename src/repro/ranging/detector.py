@@ -46,12 +46,25 @@ class DetectionConfig:
     early_peak_ratio:
         Among accepted candidates, prefer the earliest whose score is at
         least this fraction of the best accepted score.
+
+    The best accepted candidate must itself count as significant, so
+    ``0 <= xcorr_threshold`` (every accepted score is then positive)
+    and ``0 < early_peak_ratio <= 1``; otherwise no candidate is
+    significant and the selection has nothing to return.
     """
 
     xcorr_threshold: float = 0.08
     autocorr_threshold: float = AUTOCORR_THRESHOLD
     max_candidates: int = 32
     early_peak_ratio: float = 0.6
+
+    def __post_init__(self) -> None:
+        if not self.xcorr_threshold >= 0:
+            raise ValueError(f"xcorr_threshold must be >= 0, got {self.xcorr_threshold}")
+        if not 0 < self.early_peak_ratio <= 1:
+            raise ValueError(f"early_peak_ratio must be in (0, 1], got {self.early_peak_ratio}")
+        if not self.max_candidates >= 1:
+            raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ hypothesis and `tests/test_batch_parity.py` relies on end to end:
   element-wise division) per candidate; only the window gather and the
   sign handling are restructured, using identities that are exact in
   IEEE-754 (``|-x| == |x|``, ``(-x)·y == -(x·y)``, ``1.0*x == x``).
+  The batched-GEMM gate (:func:`_gemm_gate_scores`) serves only the
+  fast backend, whose contract is statistical, not bitwise.
 
 Grouping helper
 ---------------
@@ -464,46 +466,6 @@ def segment_autocorrelation_many(
     )
 
 
-_GEMM_PROBE: Dict[Tuple[int, int], bool] = {}
-
-
-def _gemm_matches_dot(num_segments: int, symbol_len: int) -> bool:
-    """True when batched ``matmul`` reproduces per-pair ``np.dot`` bitwise.
-
-    BLAS ``dgemm`` usually accumulates exactly like ``ddot`` for these
-    skinny ``(S, L) @ (L, S)`` products, but that is an implementation
-    detail of the BLAS build — so it is *probed once per segment shape*
-    on this interpreter, and the scorer falls back to the per-pair
-    scalar ops when the probe fails.  Either path is therefore
-    bit-identical to the scalar reference on every platform.
-    """
-    key = (num_segments, symbol_len)
-    cached = _GEMM_PROBE.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(0xBA7C0)
-    W = rng.standard_normal((3, num_segments, symbol_len))
-    G = W @ W.transpose(0, 2, 1)
-    ok = True
-    for k in range(W.shape[0]):
-        for a in range(num_segments):
-            for b in range(num_segments):
-                if G[k, a, b] != np.dot(W[k, a], W[k, b]):
-                    ok = False
-    if ok:
-        idx = np.arange(num_segments)
-        norms = np.sqrt(G[:, idx, idx])
-        U = W / norms[:, :, None]
-        G2 = U @ U.transpose(0, 2, 1)
-        for k in range(W.shape[0]):
-            for a in range(num_segments):
-                for b in range(num_segments):
-                    if G2[k, a, b] != np.dot(U[k, a], U[k, b]):
-                        ok = False
-    _GEMM_PROBE[key] = ok
-    return ok
-
-
 def _gather_windows(
     stream: np.ndarray,
     starts: Sequence[int],
@@ -524,9 +486,10 @@ def _gemm_gate_scores(W: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     """Batched-GEMM gate scores for a ``(K, segments, symbol_len)`` stack.
 
     ``matmul`` over a 3-D stack runs one independent GEMM per slice, so
-    each candidate's score depends only on its own windows — stacking
-    candidates from *many streams* into one call changes nothing per
-    candidate (the cross-stream single-GEMM gate relies on this).
+    each candidate's score depends only on its own windows — which
+    candidates share a call changes nothing per candidate (the lazy
+    gate of :func:`repro.ranging.batch.detect_preamble_batch` relies on
+    this).
     """
     num_segments = W.shape[1]
     G = W @ W.transpose(0, 2, 1)
@@ -561,9 +524,9 @@ def segment_autocorrelation_scores(
     Every ``starts[i]`` must satisfy
     ``0 <= start`` and ``start + stride * len(signs) <= stream.size``.
     Bit-identical to :func:`segment_autocorrelation` per candidate —
-    unless ``force_gemm`` is set (the fast backend), which always takes
-    the batched GEMM path: same mathematics, possibly different last
-    ulps on platforms where BLAS accumulates differently from ``ddot``.
+    unless ``force_gemm`` is set (the fast backend), which takes the
+    batched GEMM path: same mathematics, possibly different last ulps
+    where BLAS accumulates differently from ``ddot``.
     """
     (scores,) = segment_autocorrelation_scores_multi(
         [stream], [starts], pn_signs, symbol_stride, symbol_len, force_gemm=force_gemm
@@ -579,19 +542,15 @@ def segment_autocorrelation_scores_multi(
     symbol_len: int,
     force_gemm: bool = False,
 ) -> List[np.ndarray]:
-    """Candidate-gate scores for *all streams of a flush* in one GEMM.
+    """Candidate-gate scores for many streams' candidates in one call.
 
-    The per-stream gate used to issue one batched ``matmul`` per stream
-    (~0.8 ms/exchange of fixed BLAS/dispatch overhead each).  Here every
-    stream's candidate windows are gathered into a single
-    ``(sum(K_i), segments, symbol_len)`` stack and scored by one
-    :func:`_gemm_gate_scores` call, then split back per stream.  Because
-    ``matmul`` runs an independent GEMM per slice, each candidate's
-    score is bit-identical to the per-stream call's — the parity
-    backends share this path whenever the :func:`_gemm_matches_dot`
-    probe passes, and fall back to the per-candidate scalar reductions
-    (exact :func:`segment_autocorrelation_fast`) where it does not.
-    ``force_gemm`` (the fast backend) skips the probe.
+    By default every score is the exact per-candidate reduction
+    (:func:`segment_autocorrelation_fast`), bit-identical to the scalar
+    reference.  ``force_gemm`` (the fast backend) gathers every
+    stream's candidate windows into one ``(sum(K_i), segments,
+    symbol_len)`` stack, scores it with one :func:`_gemm_gate_scores`
+    call and splits the scores back per stream.  Either way a score
+    depends only on its own window.
     """
     if len(streams) != len(starts_per_stream):
         raise ValueError("streams and starts_per_stream must align")
@@ -605,7 +564,7 @@ def segment_autocorrelation_scores_multi(
     total = sum(counts)
     if total == 0:
         return [np.zeros(0, dtype=dtype) for _ in counts]
-    if not force_gemm and not _gemm_matches_dot(num_segments, symbol_len):
+    if not force_gemm:
         needed = symbol_stride * num_segments
         out = []
         for stream, starts in zip(streams, starts_per_stream):

@@ -161,7 +161,7 @@ class TestSegmentAutocorrelationParity:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), force_gemm=st.booleans())
     def test_multi_stream_gate_matches_per_stream_calls(self, seed, force_gemm):
-        """Stacking many streams' windows into one GEMM changes no bits."""
+        """Scoring many streams' windows in one call changes no bits."""
         rng = _rng(seed)
         stride, symbol_len = 60, 48
         signs = (1, 1, -1, 1)
