@@ -13,6 +13,12 @@ round, and a contention MAC — quantify what the published design does
 ``paper`` reference numbers are therefore the paper's *model*
 predictions (slot arithmetic and uplink airtime), not measured
 figures; ``measured`` holds the DES outcomes.
+
+Every variant runs on the struct-of-arrays round
+(:mod:`repro.simulate.des.fleetvec`, ``fleet_backend="vec"``, the
+default). The per-event round (``fleet_backend="event"``) produces
+byte-identical artifacts and stays as the parity oracle in the tests
+and the A/B arm of the fleet benchmark.
 """
 
 from __future__ import annotations
@@ -94,10 +100,12 @@ def format_fleet(summary: Dict[str, Any]) -> str:
             "contention",
             {"num_devices": 50, "mac": "contention"},
         ),
-        # Scale variants run on the vectorized engine (bit-identical to
-        # "event"; see DESIGN.md §10) with churn, mobility, oscillator
-        # wander and a 2-round resync interval, so energy and drift
-        # stats are exercised at fleet scale.
+        # Scale variants: churn, mobility, oscillator wander and a
+        # 2-round resync interval, so energy and drift stats are
+        # exercised at fleet scale. Like every variant they run on the
+        # vectorized engine ("event" is the bit-identical parity
+        # oracle; see DESIGN.md §10). "fleet_backend" stays spelled
+        # out here because variant params are recorded in the artifact.
         engine.Variant(
             "fleet1k",
             {
@@ -144,7 +152,7 @@ def campaign(
     join_prob: float = 0.5,
     mobility_fraction: float = 0.0,
     relay: bool = True,
-    fleet_backend: str = "event",
+    fleet_backend: str = FleetConfig.fleet_backend,
     resync_interval_rounds: int = 1,
     drift_wander_ppm: float = 0.0,
     duty_cycle=None,

@@ -49,6 +49,7 @@ from repro.constants import DELTA0_S, DELTA1_S
 from repro.protocol.messages import TimestampReport
 from repro.protocol.sync import infer_transmit_slot
 from repro.simulate.des.energy import EnergyModel, total_joules_arrays
+from repro.simulate.des.mac import CONTENTION_MAX_ATTEMPTS
 from repro.simulate.mobility import (
     linear_back_forth_positions,
     normalize_directions,
@@ -108,7 +109,7 @@ def run_fleet_round_vec(
     max_range = float(config.max_range_m)
     is_tdma = config.mac == "tdma"
     window_s = float(config.contention_window_s)
-    max_attempts = 4  # ContentionMac default
+    max_attempts = CONTENTION_MAX_ATTEMPTS
     # The detection-noise draws can be inlined (skipping one Python call
     # per candidate) only for the stock error model; a subclass with its
     # own detection_error_m falls back to calling it.

@@ -34,6 +34,10 @@ from repro.protocol.sync import infer_transmit_slot
 from repro.simulate.des.medium import Arrival
 from repro.simulate.des.node import DesNode
 
+#: Transmit attempts a contention-MAC device makes before giving up for
+#: the round; shared with the vectorized engine's inlined MAC.
+CONTENTION_MAX_ATTEMPTS = 4
+
 
 class MacPolicy(Protocol):
     """What a node needs from its medium-access policy."""
@@ -137,7 +141,7 @@ class ContentionMac:
         window_s: float = 4.0,
         delta0_s: float = DELTA0_S,
         packet_duration_s: float = T_PACKET_S,
-        max_attempts: int = 4,
+        max_attempts: int = CONTENTION_MAX_ATTEMPTS,
     ):
         if window_s <= 0:
             raise ConfigurationError("contention window must be positive")

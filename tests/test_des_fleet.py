@@ -78,6 +78,27 @@ class TestFleetConfig:
         with pytest.raises(ConfigurationError):
             FleetConfig(join_prob=-0.1)
 
+    @pytest.mark.parametrize("backend", ["event", "vec"])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(mac="contention", contention_window_s=0.0),
+            dict(mac="contention", contention_window_s=-1.0),
+            dict(max_range_m=0.0),
+            dict(max_range_m=-5.0),
+        ],
+        ids=["window_zero", "window_negative", "range_zero", "range_negative"],
+    )
+    def test_degenerate_medium_rejected_on_both_backends(self, kw, backend):
+        """Neither round may start with an empty contention window or a
+        non-positive acoustic range: both backends raise the same
+        ConfigurationError before drawing anything."""
+        with pytest.raises(ConfigurationError):
+            run_fleet_campaign(
+                np.random.default_rng(0),
+                FleetConfig(num_devices=12, num_rounds=1, fleet_backend=backend, **kw),
+            )
+
     def test_error_model_shared_with_network_sim(self):
         from repro.simulate.network_sim import RangingErrorModel
 
@@ -195,23 +216,26 @@ class TestFleetCampaign:
         assert moving.summary()["mean_transmit_ratio"] == 1.0
 
 
+@pytest.mark.parametrize("backend", ["event", "vec"])
 class TestUplinkBookkeepingRegression:
     """Pins the campaign outputs around the uplink/no-report bookkeeping.
 
     ``_finish_round`` marks everything without a report as "direct"
     with one boolean mask instead of the former per-round
-    ``set(range(N)) - set(active)`` churn; these snapshots (event
-    backend, seed 4242) pin the surrounding metrics byte-for-byte so
-    the mask can never drift from the set semantics it replaced.
+    ``set(range(N)) - set(active)`` churn; these snapshots (seed 4242,
+    taken on the event backend) pin the surrounding metrics
+    byte-for-byte on both backends so the mask can never drift from
+    the set semantics it replaced.
     """
 
-    def _summary(self, **kw):
+    def _summary(self, backend, **kw):
         return run_fleet_campaign(
-            np.random.default_rng(4242), FleetConfig(**kw)
+            np.random.default_rng(4242), FleetConfig(fleet_backend=backend, **kw)
         ).summary()
 
-    def test_tdma_churn_mobility_snapshot(self):
+    def test_tdma_churn_mobility_snapshot(self, backend):
         summary = self._summary(
+            backend,
             num_devices=30,
             num_rounds=3,
             leave_prob=0.1,
@@ -233,8 +257,10 @@ class TestUplinkBookkeepingRegression:
         assert summary["total_collisions"] == 7
         assert summary["total_tx_attempts"] == 88
 
-    def test_contention_snapshot(self):
-        summary = self._summary(num_devices=25, num_rounds=2, mac="contention")
+    def test_contention_snapshot(self, backend):
+        summary = self._summary(
+            backend, num_devices=25, num_rounds=2, mac="contention"
+        )
         assert summary["mean_coverage"] == 0.96
         assert summary["mean_direct_reports"] == 11.0
         assert summary["mean_relayed_reports"] == 12.0

@@ -1,12 +1,13 @@
 """vec-vs-event fleet backend parity (DESIGN.md §10).
 
-The vectorized engine (:mod:`repro.simulate.des.fleetvec`) is a parity
-backend: at fleet-summary granularity it may diverge from the event
-backend on nothing. These tests pin that contract byte-for-byte on the
-existing 50/100/200 scenarios, through the campaign engine (serial vs
-``workers=4``), and — via hypothesis — on randomized small fleets with
-churn and mobility, where the per-round report dicts (values *and*
-iteration order) must match exactly.
+The vectorized engine (:mod:`repro.simulate.des.fleetvec`) runs every
+fleet variant; the per-event round is its oracle. At fleet-summary
+granularity the two may diverge on nothing. These tests pin that
+contract byte-for-byte on the existing 50/100/200 scenarios, on every
+declared registry variant but ``fleet10k``, through the campaign
+engine (serial vs ``workers=4``), and — via hypothesis — on randomized
+small fleets with churn and mobility, where the per-round report dicts
+(values *and* iteration order) must match exactly.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.experiments.engine import (
     experiment_rng,
     get_spec,
     run_campaign,
+    run_unit,
 )
 from repro.simulate.des.fleet import (
     FleetConfig,
@@ -103,6 +105,26 @@ class TestVecEventParity:
         )
         assert _dumps(out_event.measured) == _dumps(out_vec.measured)
         assert out_event.report == out_vec.report
+
+    @pytest.mark.parametrize(
+        "variant",
+        [v.name for v in get_spec("fleet").variants if v.name != "fleet10k"],
+    )
+    def test_registry_variant_default_matches_event_oracle(self, variant):
+        """Every declared variant (fleet10k aside: the event round needs
+        tens of minutes there) gives the same ``measured`` and ``report``
+        on the default backend as on the event oracle."""
+        default = run_unit("fleet", variant, base_seed=2023, scale=0.25)
+        oracle = run_unit(
+            "fleet",
+            variant,
+            params={"fleet_backend": "event"},
+            base_seed=2023,
+            scale=0.25,
+        )
+        assert default.status == oracle.status == "ok"
+        assert _dumps(default.measured) == _dumps(oracle.measured)
+        assert default.report == oracle.report
 
     def test_vec_campaign_serial_matches_workers4_byte_identical(self):
         """Acceptance pin: the vec backend through ``run_campaign``,
