@@ -15,13 +15,13 @@ the committed baseline and fails (exit 1) when:
   — such a figure would otherwise never be gated at all; pass
   ``--allow-new-figures`` for the one run that introduces it (then
   commit a refreshed baseline so it is gated from the next run on);
-* a figure's batch-vs-legacy speedup drops below ``--min-speedup``
-  (default 1.0x: the batch backend must never be slower than legacy);
-* a figure's batch-vs-legacy speedup regresses more than
-  ``--max-regression`` (default 25%) relative to the baseline;
-* the fast backend (when recorded) falls below ``--min-speedup`` or
-  regresses more than ``--max-regression`` against a baseline that also
-  recorded it;
+* a figure records no ``batch`` or ``fast`` seconds;
+* a figure's fast-vs-batch speedup (``batch / fast``, computed from the
+  raw seconds of each artifact, so artifacts that recorded a legacy
+  column stay valid baselines) drops below ``--min-speedup`` (default
+  1.0x: the fast tier must never be slower than the parity backend) or
+  regresses more than ``--max-regression`` (default 25%) relative to
+  the baseline;
 * the flush-pipeline executor A/B (``speedup_pipeline`` =
   sequential/pipelined flush, when recorded) falls below
   ``--min-pipeline-speedup`` (default 0.75x — a single-core host cannot
@@ -54,7 +54,7 @@ the committed baseline and fails (exit 1) when:
   CI noise cannot fail a healthy engine but a de-vectorized one
   cannot hide), and the 10k scale row must be present and complete.
 
-Figures whose current legacy time is under ``--min-seconds`` (default
+Figures whose current batch time is under ``--min-seconds`` (default
 0.05 s, e.g. fig22 at smoke scales) are reported but not gated — at
 millisecond scale the speedup ratio is timer noise.
 
@@ -129,22 +129,26 @@ def check(
         if "error" in cur:
             violations.append(f"{name}: current run errored: {cur['error']}")
             continue
-        if float(cur.get("legacy", 0.0)) < min_seconds:
+        if "batch" not in cur or "fast" not in cur:
+            violations.append(f"{name}: no batch/fast timings recorded")
+            continue
+        if float(cur["batch"]) < min_seconds:
             print(
-                f"  {name}: legacy {cur.get('legacy', 0.0):.3f}s < "
+                f"  {name}: batch {float(cur['batch']):.3f}s < "
                 f"{min_seconds:.2f}s, too small to gate (informational only)"
             )
             continue
         gates = (
-            ("speedup", "batch", min_speedup),
-            ("speedup_fast", "fast", min_speedup),
-            ("speedup_pipeline", "pipeline", min_pipeline_speedup),
+            ("fast", _fast_speedup(cur), _fast_speedup(base), min_speedup),
+            (
+                "pipeline",
+                cur.get("speedup_pipeline"),
+                base.get("speedup_pipeline"),
+                min_pipeline_speedup,
+            ),
         )
-        for key, label, floor_speedup in gates:
-            cur_speedup = cur.get(key)
+        for label, cur_speedup, base_speedup, floor_speedup in gates:
             if cur_speedup is None:
-                if key == "speedup":
-                    violations.append(f"{name}: no batch speedup recorded")
                 continue
             cur_speedup = float(cur_speedup)
             parts = [f"{name}/{label}: {cur_speedup:.2f}x"]
@@ -153,7 +157,6 @@ def check(
                     f"{name}: {label} speedup {cur_speedup:.2f}x below the "
                     f"{floor_speedup:.2f}x floor"
                 )
-            base_speedup = base.get(key)
             if base_speedup is not None:
                 floor = float(base_speedup) * (1.0 - max_regression)
                 parts.append(
@@ -167,6 +170,13 @@ def check(
                     )
             print("  " + " ".join(parts))
     return violations
+
+
+def _fast_speedup(fig: Dict):
+    """``batch / fast`` seconds, or ``None`` when either is missing."""
+    if "batch" in fig and "fast" in fig:
+        return float(fig["batch"]) / float(fig["fast"])
+    return None
 
 
 def _check_service(
@@ -355,7 +365,10 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=1.0,
-        help="absolute speedup floor for every gated figure (default 1.0)",
+        help=(
+            "absolute fast-vs-batch speedup floor for every gated figure "
+            "(default 1.0)"
+        ),
     )
     parser.add_argument(
         "--min-pipeline-speedup",
@@ -371,7 +384,7 @@ def main(argv=None) -> int:
         "--min-seconds",
         type=float,
         default=0.05,
-        help="skip figures whose legacy time is below this (timer noise)",
+        help="skip figures whose batch time is below this (timer noise)",
     )
     parser.add_argument(
         "--max-warm-p50",

@@ -1,17 +1,18 @@
-"""Record per-figure wall-clock timings: legacy vs batch vs fast backend.
+"""Record per-figure wall-clock timings: batch vs fast backend.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py --json BENCH_PR5.json
     PYTHONPATH=src python benchmarks/run_benchmarks.py --scale 0.2 --figures fig11
 
-Times each waveform figure's campaign entry under all three backends on
-the same seeded substream: ``batch`` is bit-identical to ``legacy``
-(pinned by ``tests/test_batch_parity.py``, a pure performance A/B),
+Times each waveform figure's campaign entry under both backends on the
+same seeded substream: ``batch`` is the bit-parity backend (pinned by
+the committed parity-epoch baseline, ``tests/test_batch_parity.py``),
 ``fast`` relaxes bit-parity and is validated statistically
 (``tests/test_fast_equivalence.py``).  Also times the hot kernels the
-batch pipeline rewrote (peak scan, tap rendering, template-cached NCC,
-multi-threshold power detection).  The JSON artifact is the repo's
+batch pipeline rewrote against the scalar kernels they replaced (peak
+scan, tap rendering, template-cached NCC, multi-threshold power
+detection).  The JSON artifact is the repo's
 benchmark trajectory record; CI uploads it per run and gates it with
 ``benchmarks/check_regression.py``.
 
@@ -34,10 +35,10 @@ import numpy as np
 from repro.experiments import engine
 from repro.experiments.fast_contract import FAST_FIGURES, compare_measured
 
-#: Figure entries that accept backend="legacy"|"batch"|"fast".
+#: Figure entries that accept backend="batch"|"fast".
 FIGURES = ("fig11", "fig12", "fig13", "fig14", "fig15", "fig22")
 
-BACKENDS = ("legacy", "batch", "fast")
+BACKENDS = ("batch", "fast")
 
 
 def _time_call(fn, repeats: int = 1) -> float:
@@ -81,8 +82,7 @@ def bench_figure(name: str, scale: float, repeats: int = 3) -> Dict[str, object]
                 f"case {label!r} raised:\n{traceback.format_exc(limit=8)}"
             )
             return timings
-    timings["speedup"] = timings["legacy"] / timings["batch"]
-    timings["speedup_fast"] = timings["legacy"] / timings["fast"]
+    timings["speedup_fast"] = timings["batch"] / timings["fast"]
     timings["speedup_pipeline"] = timings["batch_sequential"] / timings["batch"]
     timings["speedup_float32"] = timings["fast"] / timings["fast_float32"]
     if name in FAST_FIGURES:
@@ -407,14 +407,13 @@ def main(argv=None) -> int:
         "figures": {},
         "kernels": {},
         "notes": (
-            "legacy vs batch vs fast waveform backend on identical seeds. "
-            "batch outputs are bit-identical to legacy "
-            "(tests/test_batch_parity.py) and bounded by costs both backends "
-            "share bit-for-bit (RNG stream consumption, the legacy path's FFT "
-            "sizes, BLAS candidate-gate dots); fast relaxes bit-parity "
-            "(power-of-two/5-smooth shared FFT sizes, fused NCC, "
-            "frequency-domain noise, right-sized FIRs) under the statistical "
-            "equivalence contract of tests/test_fast_equivalence.py. "
+            "batch vs fast waveform backend on identical seeds. "
+            "batch outputs are pinned bit for bit by the committed "
+            "parity-epoch baseline (tests/test_batch_parity.py); fast "
+            "relaxes bit-parity (power-of-two/5-smooth shared FFT sizes, "
+            "fused NCC, frequency-domain noise, right-sized FIRs) under the "
+            "statistical equivalence contract of "
+            "tests/test_fast_equivalence.py; speedup_fast = batch/fast. "
             "batch_sequential disables the Phase-A/Phase-B flush pipeline "
             "(pipeline=0); speedup_pipeline = batch_sequential/batch is the "
             "executor A/B (bit-identical outputs either way). "
@@ -435,12 +434,11 @@ def main(argv=None) -> int:
             print(f"  FAILED: {fig['error']}")
             continue
         print(
-            f"  legacy {fig['legacy']:.2f}s  batch {fig['batch']:.2f}s  "
+            f"  batch {fig['batch']:.2f}s  "
             f"fast {fig['fast']:.2f}s  fast32 {fig['fast_float32']:.2f}s  "
             f"seq-flush {fig['batch_sequential']:.2f}s  "
-            f"speedup {fig['speedup']:.2f}x "
-            f"(fast {fig['speedup_fast']:.2f}x, "
-            f"float32 {fig['speedup_float32']:.2f}x, "
+            f"speedup fast {fig['speedup_fast']:.2f}x "
+            f"(float32 {fig['speedup_float32']:.2f}x, "
             f"pipeline {fig['speedup_pipeline']:.2f}x)"
         )
         if fig.get("contract_float32"):

@@ -190,7 +190,7 @@ def synth_noise_rows(
 ) -> np.ndarray:
     """Frequency-domain synthesis of ambient + hardware noise (fast mode).
 
-    The legacy path draws two white vectors per stream (ambient, then
+    The scalar path draws two white vectors per stream (ambient, then
     hardware), runs the ambient one through ``sosfilt`` and rescales it
     to the realised RMS.  This synthesises the *sum* directly: the sum
     of independent Gaussians is Gaussian with summed spectra, so one

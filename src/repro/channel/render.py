@@ -31,8 +31,8 @@ def fir_length_for(
     transmit waveform's length is irrelevant to the FIR — the historic
     ``wave.size + ceil(max_delay * fs) + 2`` sizing roughly doubled
     every channel convolution's transform for nothing, and until parity
-    epoch 2 was only fixed inside the fast backend.  All three backends
-    (legacy :func:`apply_channel`, batch :func:`apply_channel_batch`
+    epoch 2 was only fixed inside the fast backend.  Every path (the
+    scalar :func:`apply_channel`, batch :func:`apply_channel_batch`
     planning in ``simulate.batch_exchange``, and the fast engine) now
     size FIRs through this helper, so their convolutions agree on the
     work a channel actually needs.
@@ -198,7 +198,7 @@ def apply_channel_batch(
     transform length.
 
     ``shared_length=True`` (the fast backend) pads every row to one
-    shared 5-smooth transform length instead of the per-row legacy
+    shared 5-smooth transform length instead of the per-row parity
     sizes — one stacked FFT pair, one waveform spectrum, optionally
     threaded with ``workers``.  Each row still carries its exact linear
     convolution (zero padding cannot alias it), but rounding may differ
@@ -284,7 +284,7 @@ def apply_channel(
     the last tap (truncated to ``output_length`` when that is shorter:
     taps at or beyond index ``output_length`` cannot influence the
     returned samples).  Since parity epoch 2 this right-sizing applies
-    to *every* backend; before, the legacy/batch paths inflated the FIR
+    to *every* backend; before, the parity paths inflated the FIR
     by the (irrelevant) waveform length.
 
     ``output_length`` contract, relative to the natural full-convolution
@@ -309,7 +309,7 @@ def apply_channel(
     Pinned by ``tests/test_channel.py`` (output-length contract) and
     ``tests/test_batchcorr.py`` (long-FIR truncation equivalence).
     """
-    wave = np.asarray(waveform, dtype=float)  # repro: allow[DTYPE001] legacy parity path is float64
+    wave = np.asarray(waveform, dtype=float)  # repro: allow[DTYPE001] scalar parity path is float64
     if not taps:
         raise ValueError("taps must be non-empty")
     fir_length = fir_length_for(taps, sample_rate)

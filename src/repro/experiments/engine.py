@@ -53,17 +53,15 @@ from repro.signals.xp import PRECISIONS
 DEFAULT_BASE_SEED = 2023
 
 #: The waveform-backend registry every engine plugs into, mapping each
-#: backend to the working precisions it supports.  ``legacy`` is the
-#: per-exchange reference, ``batch`` the bit-identical batched
-#: pipeline, ``fast`` the non-parity engine validated statistically
-#: (tests/test_fast_equivalence.py).  Only ``fast`` supports the
-#: float32 tier: the bit-parity backends *are* the float64 reference,
-#: so ``(backend, precision)`` is validated as a pair by
-#: :func:`check_backend`.  Experiments declare which backends they
-#: support via ``ExperimentSpec.backends``; iteration order (and hence
-#: ``tuple(WAVEFORM_BACKENDS)``) is unchanged from the historic tuple.
+#: backend to the working precisions it supports.  ``batch`` is the
+#: bit-parity pipeline, pinned by the committed parity-epoch baseline
+#: (tests/baselines/parity_epoch2.json); ``fast`` is the non-parity
+#: engine validated statistically (tests/test_fast_equivalence.py).
+#: Only ``fast`` supports the float32 tier: the parity backend *is* the
+#: float64 reference, so ``(backend, precision)`` is validated as a
+#: pair by :func:`check_backend`.  Experiments declare which backends
+#: they support via ``ExperimentSpec.backends``.
 WAVEFORM_BACKENDS: Dict[str, Tuple[str, ...]] = {
-    "legacy": ("float64",),
     "batch": ("float64",),
     "fast": PRECISIONS,
 }

@@ -1,7 +1,8 @@
 """Statistical-equivalence contract between the fast and batch backends.
 
 The ``fast`` waveform backend deliberately gives up bit-parity with the
-``legacy``/``batch`` reference: it consumes the random stream
+``batch`` reference (whose bits the committed parity-epoch baseline
+``tests/baselines/parity_epoch2.json`` pins): it consumes the random stream
 differently (frequency-domain noise from a dedicated substream), uses
 shared padded FFT sizes, a fused NCC normalisation and right-sized
 channel FIRs.  Its correctness claim is therefore *statistical*: on the

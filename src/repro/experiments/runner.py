@@ -110,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         metavar="NAME",
         help=(
-            "waveform backend for the whole campaign (legacy | batch | fast); "
-            "every selected experiment must support it"
+            "waveform backend for the whole campaign: batch (bit-parity, "
+            "pinned by the committed parity-epoch baseline) or fast; every "
+            "selected experiment must support it"
         ),
     )
     parser.add_argument(

@@ -25,7 +25,7 @@ BEEPBEEP_MIN_SCORE = 0.05
 
 #: CAT's coarse power-detection threshold: the baseline's in-air 3 dB —
 #: generous for it underwater, as in the paper's "fair comparison"
-#: framing.  Shared by the legacy loop and the fast-mode batch.
+#: framing.  Shared by the per-trial loop and the fast-mode batch.
 CAT_POWER_THRESHOLD_DB = 3.0
 
 

@@ -12,7 +12,7 @@ streams:
   candidates the selection rule depends on, one candidate of every
   unresolved stream per round;
 * LS channel estimation FFTs all detected streams' OFDM symbols in one
-  stacked transform and accumulates per-symbol terms in legacy order;
+  stacked transform and accumulates per-symbol terms in scalar order;
 * peak scans are vectorised comparisons instead of per-sample Python.
 """
 
@@ -189,7 +189,7 @@ def ls_channel_estimate_batch(
             symbols[r, j] = stream[sym_start : sym_start + n_fft]
     spectra = ctx.fft(symbols, axis=-1)[..., bins]
     base = np.asarray(preamble.base_bins).astype(ctx.complex_dtype, copy=False)
-    # Accumulate per-symbol terms sequentially (legacy += order): numpy's
+    # Accumulate per-symbol terms sequentially (scalar += order): numpy's
     # pairwise sum over the symbol axis would round differently.
     accum = np.zeros((rows, bins.size), dtype=ctx.complex_dtype)
     for j, sign in enumerate(cfg.pn_signs):

@@ -113,7 +113,7 @@ def fft_workers() -> int:
 def shared_fast_len(full_sizes: Sequence[int]) -> int:
     """One 5-smooth transform length covering every row of a batch.
 
-    The fast backend trades the parity backend's per-row legacy sizes
+    The fast backend trades the parity backend's per-row sizes
     for a single padded length: every row shares one stacked transform
     and one cached template spectrum.  Zero padding a linear
     convolution cannot alias it, so each row's first ``full`` samples

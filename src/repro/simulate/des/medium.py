@@ -123,7 +123,7 @@ class AcousticMedium:
         unless the MAC passes its exact computed ``tx_time_s``).
 
         Returns the number of delivery events scheduled. The arrival
-        expression mirrors the legacy round loop term for term
+        expression mirrors the original round loop term for term
         (``tx + d / c + noise``) so the DES backend is bit-compatible
         with it.
         """

@@ -263,15 +263,15 @@ def fluctuate_tap_arrays(
     standard-normal block consumes the generator stream in exactly the
     per-tap interleaved order of the original scalar loop, and scaling
     standard draws by the sigmas reproduces ``rng.normal(0, sigma)``
-    bit for bit, so the fluctuated taps are identical to the legacy
-    path's.
+    bit for bit, so the fluctuated taps are identical to the original
+    loop's.
     """
     z = rng.normal(0.0, 1.0, size=(delays_s.size, 2))
     gains_db = z[:, 0] * sigma_db
     jitter_s = z[:, 1] * jitter_std_s
     # 10**x must go through libm's pow like the scalar loop did: numpy's
     # vectorised pow rounds differently in the last ulp, which would
-    # silently break bit-parity with the legacy backend.
+    # silently break bit-parity with the committed parity baseline.
     factors = np.array([10.0 ** (g / 20.0) for g in gains_db.tolist()])
     return (
         np.maximum(delays_s + jitter_s, 0.0),

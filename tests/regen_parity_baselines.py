@@ -1,6 +1,6 @@
 """Regenerate the parity-epoch baseline artifact (one-command reset).
 
-The batch-vs-legacy waveform parity contract is *bit-identity*, so any
+The batch waveform parity contract is *bit-identity*, so any
 fix that legitimately changes bits — like the epoch-2 FIR right-sizing —
 must reset what "the bits" are.  Instead of hand-edited constants, the
 pinned quantities live in a committed, regenerable artifact keyed by a
@@ -8,17 +8,20 @@ pinned quantities live in a committed, regenerable artifact keyed by a
 
 * ``tests/baselines/parity_epoch<N>.json`` holds stream digests, one-way
   measurement values and per-figure measured outputs, all produced by
-  the **batch** backend (which ``tests/test_batch_parity.py`` separately
-  proves bit-identical to legacy at runtime);
+  the **batch** backend (whose streams and one-way measurements
+  ``tests/test_batch_parity.py`` also proves bit-identical to the
+  scalar per-exchange path at runtime; for the figures this artifact
+  is the only oracle);
 * bumping the bits = bump :data:`PARITY_EPOCH`, run this script, commit
   the new artifact and delete the old epoch's file — one command instead
   of a constant hunt;
 * CI regenerates the artifact into a temporary directory and diffs it
   against the committed file (``--check``), so silent bit drift in
-  either backend fails the build with a "run the regen script" message.
+  the batch pipeline fails the build with a "run the regen script"
+  message.
 
 The absolute digests pin the bits of the *pinned build platform*.  On a
-different BLAS/CPU/library build the legacy-vs-batch runtime parity
+different BLAS/CPU/library build the scalar-vs-batch runtime parity
 still holds while absolute bits may differ; set
 ``REPRO_PARITY_PIN_SKIP=1`` to run the parity suite without the
 absolute-baseline pins there (CI never sets it).
@@ -63,8 +66,8 @@ PARITY_EPOCH = 2
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
 #: Campaign entries with a waveform backend switch, with cheap params —
-#: shared with tests/test_batch_parity.py so the pinned figures and the
-#: runtime legacy-vs-batch comparison cover the same workloads.
+#: shared with tests/test_batch_parity.py, which checks the batch output
+#: of each against the pinned figures.
 BACKEND_EXPERIMENTS = {
     "fig11": dict(scale=1.0, num_exchanges=3, ablation_exchanges=2),
     "fig12": dict(scale=1.0, num_trials=3, num_exchanges=2),

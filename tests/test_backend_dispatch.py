@@ -25,8 +25,13 @@ class TestCheckBackend:
             assert engine.check_backend(backend) == backend
 
     def test_unknown_backend_raises(self):
+        # "legacy" was the per-exchange backend; it is now just a name
+        # the registry does not know.
+        for backend in ("turbo", "legacy"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                engine.check_backend(backend)
         with pytest.raises(ValueError, match="unknown backend"):
-            engine.check_backend("turbo")
+            engine.check_backend("legacy", precision="float64")
 
     def test_capability_flags_enforced(self):
         assert engine.check_backend("fast", "fig11") == "fast"
@@ -43,8 +48,6 @@ class TestCheckBackend:
         assert engine.check_backend("batch", precision="float64") == "batch"
         with pytest.raises(ValueError, match="does not support precision"):
             engine.check_backend("batch", precision="float32")
-        with pytest.raises(ValueError, match="does not support precision"):
-            engine.check_backend("legacy", precision="float32")
         with pytest.raises(ValueError, match="unknown precision"):
             engine.check_backend("fast", precision="float16")
 
@@ -61,8 +64,9 @@ class TestCheckBackend:
 
 class TestRunnerCliBackend:
     def test_unknown_backend_exits_2(self, capsys):
-        assert main(["fig11", "--backend", "turbo"]) == 2
-        assert "unknown backend" in capsys.readouterr().out
+        for backend in ("turbo", "legacy"):
+            assert main(["fig11", "--backend", backend]) == 2
+            assert "unknown backend" in capsys.readouterr().out
 
     def test_fast_on_unsupporting_spec_exits_2(self, capsys):
         assert main(["fig6", "--backend", "fast"]) == 2

@@ -1,19 +1,20 @@
-"""Batch-vs-legacy waveform backend parity (the PR-3 adapter contract).
+"""Batch waveform parity: the scalar oracle and the epoch baseline.
 
-The batch backend consumes the experiment's random stream in exactly
-the legacy order and performs every floating-point operation with the
-same rounding, so rendered streams, ranging errors and figure outputs
-are **bit-identical** to the per-exchange path on fixed seeds — the
-same contract the DES backend pinned at the timestamp level in
-``tests/test_des_parity.py``, extended down to the waveform level.
+The batch pipeline consumes the random stream in exactly the order of
+the scalar per-exchange path (``waveform_sim.simulate_reception`` /
+``one_way_range``) and performs every floating-point operation with
+the same rounding, so rendered streams and ranging measurements are
+**bit-identical** to it on fixed seeds — the same contract the DES
+engine keeps at the timestamp level in ``tests/test_des_parity.py``,
+extended down to the waveform level.  The stream-level tests below run
+the scalar path as the runtime oracle.
 
-Since PR 5 the *absolute* bits are additionally pinned against the
-committed **parity-epoch baseline**
-(``tests/baselines/parity_epoch<N>.json``, regenerated by
-``tests/regen_parity_baselines.py``): the runtime legacy-vs-batch
-comparison proves the two backends agree, and the epoch artifact proves
-neither drifted silently.  A deliberate bit change (like the epoch-2
-FIR right-sizing) is a one-command baseline reset, not a hand edit.
+The *absolute* bits are pinned against the committed **parity-epoch
+baseline** (``tests/baselines/parity_epoch<N>.json``, regenerated by
+``tests/regen_parity_baselines.py``).  At figure level that baseline
+is the oracle: every waveform figure's batch output must match it byte
+for byte.  A deliberate bit change (like the epoch-2 FIR right-sizing)
+is a one-command baseline reset, not a hand edit.
 
 Also pins the trial-chunking determinism contract: with
 ``trial_chunks=N``, campaign artifacts are byte-identical no matter how
@@ -54,7 +55,7 @@ def epoch_baseline():
     """The committed epoch artifact, or ``None`` when pins are off.
 
     The absolute digests pin the exact bits of the pinned build
-    platform; on a different BLAS/CPU/library build the legacy-vs-batch
+    platform; on a different BLAS/CPU/library build the scalar-vs-batch
     *runtime* parity contract still holds while the absolute bits may
     legitimately differ.  ``REPRO_PARITY_PIN_SKIP=1`` keeps every
     runtime parity assertion and disables only the absolute-baseline
@@ -111,21 +112,21 @@ class TestReceptionParity:
             scenario["geometries"],
             scenario["seed"],
         )
-        r_legacy = np.random.default_rng(seed)
+        r_scalar = np.random.default_rng(seed)
         r_batch = np.random.default_rng(seed)
         renderer = BatchExchangeRenderer(preamble)
-        legacy = []
+        scalar = []
         for tx, rx in geometries:
-            legacy.append(simulate_reception(preamble, tx, rx, config, r_legacy))
+            scalar.append(simulate_reception(preamble, tx, rx, config, r_scalar))
             renderer.add(tx, rx, config, r_batch)
         receptions = renderer.render()
-        assert r_legacy.bit_generator.state == r_batch.bit_generator.state
+        assert r_scalar.bit_generator.state == r_batch.bit_generator.state
         pinned = epoch_baseline["receptions"][scenario_name] if epoch_baseline else None
         assert pinned is None or len(pinned) == len(receptions)
         for k, ((mic1, mic2, guard, true_idx), rec) in enumerate(
-            zip(legacy, receptions)
+            zip(scalar, receptions)
         ):
-            # Legacy and batch agree bit for bit ...
+            # Scalar and batch agree bit for bit ...
             assert np.array_equal(mic1, rec.mic1)
             assert np.array_equal(mic2, rec.mic2)
             assert guard == rec.guard
@@ -144,18 +145,18 @@ class TestReceptionParity:
 class TestOneWayParity:
     def test_measurements_bit_identical_and_pinned(self, preamble, epoch_baseline):
         config = ExchangeConfig(environment=DOCK)
-        r_legacy = np.random.default_rng(2023)
+        r_scalar = np.random.default_rng(2023)
         r_batch = np.random.default_rng(2023)
         sim = BatchOneWay(preamble, chunk=5)  # force multiple flushes
-        legacy = []
+        scalar = []
         for i in range(12):
             tx, rx = [0, 0, 2.5], [10 + 2.5 * i, 0, 2.5]
-            legacy.append(one_way_range(preamble, tx, rx, config, r_legacy))
+            scalar.append(one_way_range(preamble, tx, rx, config, r_scalar))
             sim.add(tx, rx, config, r_batch)
         batch = sim.run()
-        assert r_legacy.bit_generator.state == r_batch.bit_generator.state
-        assert len(batch) == len(legacy)
-        for a, b in zip(legacy, batch):
+        assert r_scalar.bit_generator.state == r_batch.bit_generator.state
+        assert len(batch) == len(scalar)
+        for a, b in zip(scalar, batch):
             assert _measurements_equal(a, b)
         if epoch_baseline is None:
             return
@@ -176,46 +177,39 @@ class TestOneWayParity:
 
     def test_undetectable_exchange_matches(self, preamble):
         quiet = ExchangeConfig(environment=DOCK, amplitude=1e-6)
-        r_legacy = np.random.default_rng(3)
+        r_scalar = np.random.default_rng(3)
         r_batch = np.random.default_rng(3)
-        legacy = one_way_range(preamble, [0, 0, 2.5], [25, 0, 2.5], quiet, r_legacy)
+        scalar = one_way_range(preamble, [0, 0, 2.5], [25, 0, 2.5], quiet, r_scalar)
         sim = BatchOneWay(preamble)
         sim.add([0, 0, 2.5], [25, 0, 2.5], quiet, r_batch)
         (batch,) = sim.run()
-        assert not legacy.detected and not batch.detected
+        assert not scalar.detected and not batch.detected
         assert np.isnan(batch.estimated_distance_m)
 
 
 class TestExperimentBackendParity:
     @pytest.mark.parametrize("name", sorted(BACKEND_EXPERIMENTS))
     def test_measured_outputs_bit_identical_and_pinned(self, name, epoch_baseline):
-        params = BACKEND_EXPERIMENTS[name]
-        spec = engine.get_spec(name)
-        entry = spec.resolve_entry()
-        outputs = {}
-        for backend in ("legacy", "batch"):
-            rng = engine.experiment_rng(name)
-            outputs[backend] = entry(rng, backend=backend, **params)
-        legacy = engine.jsonify(outputs["legacy"].measured)
-        batch = engine.jsonify(outputs["batch"].measured)
+        """The committed epoch baseline is the figure-level oracle: the
+        batch output must match it byte for byte."""
+        if epoch_baseline is None:
+            pytest.skip("absolute parity pins are off on this platform")
+        entry = engine.get_spec(name).resolve_entry()
+        output = entry(
+            engine.experiment_rng(name), backend="batch", **BACKEND_EXPERIMENTS[name]
+        )
         # Exact equality, including every float bit (json round-trip
         # keeps repr-exact decimal forms).
-        assert json.dumps(legacy, sort_keys=True) == json.dumps(batch, sort_keys=True)
-        assert outputs["legacy"].report == outputs["batch"].report
-        # Both backends match the committed epoch baseline: a bit change
-        # that moves legacy and batch *together* still fails here until
-        # the baseline is deliberately regenerated.
-        if epoch_baseline is not None:
-            pinned = epoch_baseline["figures"][name]
-            assert json.dumps(batch, sort_keys=True) == json.dumps(
-                pinned, sort_keys=True
-            )
+        assert json.dumps(engine.jsonify(output.measured), sort_keys=True) == (
+            json.dumps(epoch_baseline["figures"][name], sort_keys=True)
+        )
 
     def test_unknown_backend_rejected(self):
         from repro.experiments.fig11_ranging import run_ranging_sweep
 
-        with pytest.raises(ValueError, match="backend"):
-            run_ranging_sweep(np.random.default_rng(0), backend="turbo")
+        for backend in ("turbo", "legacy"):
+            with pytest.raises(ValueError, match="backend"):
+                run_ranging_sweep(np.random.default_rng(0), backend=backend)
 
 
 class TestChunkedCampaignDeterminism:

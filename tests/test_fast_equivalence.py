@@ -1,11 +1,12 @@
 """Statistical-equivalence contract of the fast waveform backend.
 
-``backend="fast"`` is the first engine allowed to diverge from the
-legacy reference in bits, so its gate is statistical instead of
+``backend="fast"`` is the engine allowed to diverge from the parity
+reference in bits, so its gate is statistical instead of
 bit-wise: on every seed, each figure's measured metrics must land
 within the pre-registered tolerances of
 ``repro.experiments.fast_contract`` relative to the ``batch`` reference
-(which stays bit-identical to legacy — tests/test_batch_parity.py).
+(whose bits the committed parity-epoch baseline pins —
+tests/test_batch_parity.py).
 The float32 tier (``backend="fast", precision="float32"``) is gated
 against the same float64 batch reference through the ``"float32"``
 tolerance table.
@@ -127,7 +128,7 @@ def test_fast_backend_deterministic_per_seed(precision):
 def test_fast_noise_substream_keeps_geometry_draws_on_main_stream(precision):
     """The fast renderer draws noise off-stream: after one add(), the
     main generator has consumed exactly the sound-speed normal and the
-    fluctuation-seed integer (the legacy/batch geometry prefix)."""
+    fluctuation-seed integer (the batch geometry prefix)."""
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
     rng = np.random.default_rng(5)

@@ -77,116 +77,113 @@ def test_bench_figure_captures_backend_exception(bench_module, monkeypatch):
     )
     timings = bench_module.bench_figure("fig11", 0.1)
     assert "kernel exploded" in timings["error"]
-    assert "speedup" not in timings
+    assert "speedup_fast" not in timings
 
 
 def test_healthy_figure_times_all_backends_and_precisions(bench_module):
     timings = bench_module.bench_figure("fig22", 0.5)
     assert set(timings) == {
-        "legacy",
         "batch",
         "fast",
         "fast_float32",
         "batch_sequential",
-        "speedup",
         "speedup_fast",
         "speedup_float32",
         "speedup_pipeline",
         "contract_float32",
     }
-    assert timings["speedup"] > 0 and timings["speedup_fast"] > 0
+    assert timings["speedup_fast"] == timings["batch"] / timings["fast"]
     assert timings["speedup_pipeline"] > 0 and timings["speedup_float32"] > 0
     # The float32 run is gated against this run's own batch metrics.
     assert timings["contract_float32"] == []
 
 
 def test_regression_gate_flags_errored_figure(check_module):
-    baseline = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7}}}
+    baseline = {"figures": {"fig11": {"batch": 0.6, "fast": 0.5}}}
     current = {"figures": {"fig11": {"error": "boom"}}}
     violations = check_module.check(baseline, current)
     assert violations and "errored" in violations[0]
 
 
 def test_regression_gate_floors_and_baseline_ratio(check_module):
-    baseline = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7}}}
-    ok = {
-        "figures": {
-            "fig11": {"legacy": 1.0, "batch": 0.7, "speedup": 1.45, "speedup_fast": 2.1}
-        }
-    }
+    baseline = {"figures": {"fig11": {"batch": 0.6, "fast": 0.4}}}
+    ok = {"figures": {"fig11": {"batch": 0.7, "fast": 0.5}}}
     assert check_module.check(baseline, ok) == []
-    slow = {"figures": {"fig11": {"legacy": 1.0, "batch": 1.2, "speedup": 0.83}}}
+    slow = {"figures": {"fig11": {"batch": 0.6, "fast": 0.7}}}
     violations = check_module.check(baseline, slow)
-    assert any("below" in v for v in violations)
-    regressed = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.9, "speedup": 1.1}}}
+    assert any("fast" in v and "below" in v for v in violations)
+    regressed = {"figures": {"fig11": {"batch": 0.6, "fast": 0.55}}}
     violations = check_module.check(baseline, regressed)
-    assert any("regressed" in v for v in violations)
+    assert any("fast" in v and "regressed" in v for v in violations)
+    assert not any("below" in v for v in violations)
     missing = {"figures": {}}
     assert any("missing" in v for v in check_module.check(baseline, missing))
+    no_fast = {"figures": {"fig11": {"batch": 0.6}}}
+    assert any(
+        "no batch/fast timings" in v for v in check_module.check(baseline, no_fast)
+    )
+    # Artifacts up to BENCH_PR9.json recorded a legacy column and
+    # speedup_fast = legacy / fast; the gate ignores both and divides
+    # the raw seconds: 0.6 / 0.55 = 1.09x is inside 25% of the
+    # baseline's 0.6 / 0.5 = 1.2x, although far under its recorded 2.4x.
+    old_baseline = {
+        "figures": {
+            "fig11": {
+                "legacy": 1.2,
+                "batch": 0.6,
+                "fast": 0.5,
+                "speedup": 2.0,
+                "speedup_fast": 2.4,
+            }
+        }
+    }
+    current = {"figures": {"fig11": {"batch": 0.6, "fast": 0.55, "speedup_fast": 1.09}}}
+    assert check_module.check(old_baseline, current) == []
+
+
+def test_committed_baseline_gates_itself(check_module):
+    """BENCH_PR9.json (recorded with a legacy column) stays a valid
+    baseline: compared against itself, every gate passes."""
+    doc = json.loads((_ROOT / "BENCH_PR9.json").read_text())
+    assert check_module.check(doc, doc) == []
 
 
 def test_regression_gate_pipeline_floor(check_module):
     """The executor A/B has its own (looser) floor: a single-core host
     pays real thread contention, so ~1x is healthy, but a grossly
     regressed pipeline must fail."""
-    baseline = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7}}}
+    baseline = {"figures": {"fig11": {"batch": 0.6, "fast": 0.5}}}
     healthy = {
-        "figures": {
-            "fig11": {
-                "legacy": 1.0,
-                "batch": 0.7,
-                "speedup": 1.45,
-                "speedup_pipeline": 0.9,
-            }
-        }
+        "figures": {"fig11": {"batch": 0.7, "fast": 0.6, "speedup_pipeline": 0.9}}
     }
     assert check_module.check(baseline, healthy) == []
     bad = {
-        "figures": {
-            "fig11": {
-                "legacy": 1.0,
-                "batch": 0.7,
-                "speedup": 1.45,
-                "speedup_pipeline": 0.5,
-            }
-        }
+        "figures": {"fig11": {"batch": 0.7, "fast": 0.6, "speedup_pipeline": 0.5}}
     }
     violations = check_module.check(baseline, bad)
     assert any("pipeline" in v and "below" in v for v in violations)
     # A baseline that recorded the column also ratio-gates it.
     base2 = {
-        "figures": {
-            "fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7, "speedup_pipeline": 1.3}
-        }
+        "figures": {"fig11": {"batch": 0.6, "fast": 0.5, "speedup_pipeline": 1.3}}
     }
-    regressed = {
-        "figures": {
-            "fig11": {
-                "legacy": 1.0,
-                "batch": 0.7,
-                "speedup": 1.45,
-                "speedup_pipeline": 0.9,
-            }
-        }
-    }
-    violations = check_module.check(base2, regressed)
+    violations = check_module.check(base2, healthy)
     assert any("pipeline" in v and "regressed" in v for v in violations)
 
 
 def test_regression_gate_skips_timer_noise_figures(check_module):
-    baseline = {"figures": {"fig22": {"legacy": 0.005, "batch": 0.004, "speedup": 1.4}}}
-    tiny = {"figures": {"fig22": {"legacy": 0.004, "batch": 0.01, "speedup": 0.4}}}
+    baseline = {"figures": {"fig22": {"batch": 0.004, "fast": 0.004}}}
+    tiny = {"figures": {"fig22": {"batch": 0.004, "fast": 0.01}}}
     assert check_module.check(baseline, tiny, min_seconds=0.05) == []
 
 
 def test_regression_gate_fails_on_ungated_new_figure(check_module):
     """Satellite: a figure only the current artifact knows about used to
     slip past the gate entirely (the loop iterated baseline figures)."""
-    baseline = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7}}}
+    baseline = {"figures": {"fig11": {"batch": 0.6, "fast": 0.5}}}
     current = {
         "figures": {
-            "fig11": {"legacy": 1.0, "batch": 0.7, "speedup": 1.45},
-            "fig99": {"legacy": 2.0, "batch": 0.2, "speedup": 10.0},
+            "fig11": {"batch": 0.7, "fast": 0.6},
+            "fig99": {"batch": 0.2, "fast": 2.0},
         }
     }
     violations = check_module.check(baseline, current)
@@ -204,12 +201,7 @@ def test_regression_gate_fails_on_ungated_new_figure(check_module):
 def _float32_figures(speedups):
     return {
         "figures": {
-            name: {
-                "legacy": 1.0,
-                "batch": 0.6,
-                "speedup": 1.7,
-                "speedup_float32": s,
-            }
+            name: {"batch": 0.6, "fast": 0.5, "speedup_float32": s}
             for name, s in speedups.items()
         }
     }
@@ -228,7 +220,7 @@ def test_regression_gate_float32_counts_heavy_figures(check_module):
     violations = check_module.check(baseline, slow, allow_new_figures=True)
     assert any("float32" in v and "need 3" in v for v in violations)
     # Artifacts that predate the precision column are not float32-gated.
-    old = {"figures": {"fig11": {"legacy": 1.0, "batch": 0.6, "speedup": 1.7}}}
+    old = {"figures": {"fig11": {"batch": 0.6, "fast": 0.5}}}
     assert check_module.check(baseline, old, allow_new_figures=True) == []
 
 
@@ -267,7 +259,7 @@ def test_regression_gate_allow_new_figures_cli_flag(check_module, tmp_path, caps
     current = tmp_path / "cur.json"
     baseline.write_text(json.dumps({"figures": {}}))
     current.write_text(
-        json.dumps({"figures": {"fig99": {"legacy": 2.0, "batch": 1.0, "speedup": 2.0}}})
+        json.dumps({"figures": {"fig99": {"batch": 1.0, "fast": 0.5}}})
     )
     argv = ["--baseline", str(baseline), "--current", str(current)]
     assert check_module.main(argv) == 1
